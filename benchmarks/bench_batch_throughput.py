@@ -3,8 +3,7 @@
 The claim to hold: batched fetch amortizes the fixed per-round-trip cost
 of the data service — one ``READ_BATCH`` frame carries 32 container
 blobs, so a single trainer client pays the wire latency once per batch
-instead of once per sample, and the multi-sample decode runs as one
-vectorized pass instead of 32 scalar ones.
+instead of once per sample.  Decode stays per sample on both sides.
 
 Methodology note — as in ``bench_serve_throughput.py``, loopback has
 essentially no latency, so the server's ``service_delay_s`` knob stands

@@ -28,9 +28,7 @@ from repro.core.encoding import lut as lut_codec
 
 __all__ = [
     "k_lut_decode",
-    "k_lut_decode_batch",
     "k_delta_decode",
-    "k_delta_decode_batch",
     "k_preprocess_log",
     "k_normalize",
     "k_cast",
@@ -65,42 +63,6 @@ def k_lut_decode(
     return out
 
 
-def k_lut_decode_batch(
-    device: SimulatedGpu,
-    encs: list,
-    table_func: Callable[[np.ndarray], np.ndarray] | None = None,
-    out_dtype: np.dtype | str | None = np.float16,
-) -> list[np.ndarray]:
-    """Decode several LUT samples with **one** device gather.
-
-    The batched counterpart of :func:`k_lut_decode`: all samples' tables
-    are stacked and expanded by a single fancy index
-    (:func:`~repro.core.encoding.lut.decode_samples`), so one kernel
-    launch replaces one per table.  Bytes/flops charged equal the sum of
-    the per-sample kernels — batching amortizes launches, not physics.
-    Mixed-shape batches raise ``ValueError`` (callers fall back to the
-    scalar kernel).
-    """
-    works = encs
-    if table_func is not None:
-        table_bytes = sum(
-            t.values.nbytes for enc in encs for t in enc.tables
-        )
-        works = [
-            lut_codec.apply_to_tables(enc, table_func, out_dtype=out_dtype)
-            for enc in encs
-        ]
-        n_entries = sum(t.values.size for w in works for t in w.tables)
-        device.charge("lut_table_preproc", bytes_moved=2 * table_bytes,
-                      flops=float(4 * n_entries))
-    outs = lut_codec.decode_samples(works, dtype=out_dtype)
-    key_bytes = sum(t.keys.nbytes for w in works for t in w.tables)
-    value_bytes = sum(t.values.nbytes for w in works for t in w.tables)
-    moved = key_bytes + value_bytes + sum(o.nbytes for o in outs)
-    device.charge("lut_gather", bytes_moved=moved, flops=0.0)
-    return outs
-
-
 def k_delta_decode(
     device: SimulatedGpu,
     channels: list[delta_codec.DeltaEncodedImage],
@@ -118,43 +80,6 @@ def k_delta_decode(
     moved = sum(e.nbytes for e in channels) + out.nbytes
     device.charge("delta_decode", bytes_moved=moved, seconds=seconds)
     return out
-
-
-def k_delta_decode_batch(
-    device: SimulatedGpu,
-    samples: list,
-    cost: WarpCostModel | None = None,
-) -> list[np.ndarray]:
-    """Decode several delta samples' lines in one device pass (FP16).
-
-    ``samples`` is a list of per-sample channel lists; every channel of
-    every sample rides the same mode-grouped column walk
-    (:func:`~repro.core.encoding.delta_decode_fast.decode_images_fast`).
-    Modeled time is the sum of the per-sample warp estimates (the device
-    does the same work, one launch).  Mixed shapes/configs raise
-    ``ValueError``.
-    """
-    from repro.core.encoding.delta_decode_fast import decode_images_fast
-
-    if not samples:
-        return []
-    C = len(samples[0])
-    if any(len(channels) != C for channels in samples):
-        raise ValueError("k_delta_decode_batch requires one channel count")
-    H, W = samples[0][0].shape
-    outs = [
-        np.empty((C, H, W), dtype=np.float16) for _ in samples
-    ]
-    flat_encs = [enc for channels in samples for enc in channels]
-    flat_outs = [out[c] for out in outs for c in range(C)]
-    decode_images_fast(flat_encs, outs=flat_outs)
-    seconds = sum(
-        estimate_delta_decode_time(channels, device.spec, cost)
-        for channels in samples
-    )
-    moved = sum(e.nbytes for e in flat_encs) + sum(o.nbytes for o in outs)
-    device.charge("delta_decode", bytes_moved=moved, seconds=seconds)
-    return outs
 
 
 def k_preprocess_log(device: SimulatedGpu, volume: np.ndarray) -> np.ndarray:

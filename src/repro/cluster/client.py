@@ -96,7 +96,7 @@ class ClusterSource:
     stats:
         Optional shared :class:`StatsRegistry`; receives the
         ``cluster.*`` counters (reads, failovers, busy_sheds,
-        route_refreshes, corrupt, no_replica).
+        batch_fallbacks, route_refreshes, corrupt, no_replica).
     """
 
     def __init__(
@@ -312,11 +312,13 @@ class ClusterSource:
         Indices are grouped by their first-choice replica (same rotated
         routing as :meth:`read`) and each group travels in one
         ``READ_BATCH`` round-trip.  Any index whose group or slot fails —
-        a dead/shedding replica, a corrupt copy — is retried through the
-        scalar :meth:`read` failover path, so the batch plane can only
-        ever *add* round-trip amortization, never weaken the failover
-        contract.  Each slot holds the blob or the exception the scalar
-        path finally raised.
+        a dead/shedding replica, a corrupt copy, an older peer without
+        ``READ_BATCH`` (counted as ``cluster.batch_fallbacks``) — is
+        retried through the scalar :meth:`read` failover path, so the
+        batch plane can only ever *add* round-trip amortization, never
+        weaken the failover contract.  Each slot holds the blob or the
+        exception the scalar path finally raised; any other error
+        raises.
         """
         indices = [int(i) for i in indices]
         n = len(self)
@@ -361,7 +363,12 @@ class ClusterSource:
                 self._mark_suspect(worker_id)
                 fallback.extend(members)
                 continue
-            except Exception:  # noqa: BLE001 — e.g. old server: no READ_BATCH
+            except ValueError as exc:
+                # an older peer answers READ_BATCH with "unsupported op";
+                # any other error is not a fallback case and raises
+                if not str(exc).startswith("unsupported op"):
+                    raise
+                self.stats.add("cluster.batch_fallbacks")
                 fallback.extend(members)
                 continue
             for (pos, index), reply in zip(members, replies):

@@ -27,7 +27,6 @@ from repro.conformance.differential import (
     CaseReport,
     ConformanceError,
     Mismatch,
-    check_batch_equivalence,
     check_delta_case,
     check_graph_equivalence,
     check_lut_case,
@@ -49,7 +48,6 @@ __all__ = [
     "ConformanceError",
     "FuzzReport",
     "Mismatch",
-    "check_batch_equivalence",
     "check_delta_case",
     "check_graph_equivalence",
     "check_lut_case",

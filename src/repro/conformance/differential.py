@@ -53,7 +53,6 @@ __all__ = [
     "lut_decode_outputs",
     "check_delta_case",
     "check_lut_case",
-    "check_batch_equivalence",
     "check_graph_equivalence",
     "compare_against",
     "delta_config_to_dict",
@@ -311,94 +310,6 @@ def check_lut_case(
         Mismatch("fused-" + m.impl, "fused-" + m.against, m.detail)
         for m in compare_against(fused)
     )
-    return report
-
-
-# --------------------------------------------------------------------------
-# batched decode (the batch plane's conformance gate)
-# --------------------------------------------------------------------------
-
-def check_batch_equivalence(
-    plugin,
-    blobs: list[bytes],
-    device: SimulatedGpu | None = None,
-) -> CaseReport:
-    """Prove a plugin's batched decode bit-identical to the scalar loop.
-
-    Runs ``plugin.decode_batch(blobs)`` against
-    ``[plugin.decode(b) for b in blobs]`` and compares every tensor and
-    label as raw bytes.  This is the batch plane's contract
-    (:meth:`~repro.core.plugins.base.SamplePlugin.decode_batch`): a
-    vectorized multi-sample decode — one stacked table gather, one
-    mode-grouped line pass — may change *when* work happens, never a
-    single output bit.  Callers exercise both the vectorizable case
-    (same-shape blobs) and the scalar-fallback case (mixed shapes); the
-    check holds identically for both.
-
-    When ``device`` is given, each path runs on a *fresh* simulated
-    device of the same spec and the kernel accounting must agree:
-    total bytes moved and flops are identical (batching never changes
-    modeled physics), and the batched path's busy seconds may undercut
-    the scalar loop's by at most the launch overheads of the kernel
-    launches it elided — launch amortization is all it may claim, and it
-    may never *add* busy time.
-    """
-    report = CaseReport(codec="batch")
-    report.impls = ["scalar", "batched"]
-
-    dev_scalar = dev_batch = None
-    if device is not None:
-        dev_scalar = SimulatedGpu(spec=device.spec)
-        dev_batch = SimulatedGpu(spec=device.spec)
-
-    scalar = [plugin.decode(blob, dev_scalar) for blob in blobs]
-    batched = plugin.decode_batch(list(blobs), dev_batch)
-
-    if len(batched) != len(scalar):
-        report.mismatches.append(Mismatch(
-            "batched", "scalar",
-            f"returned {len(batched)} samples for {len(scalar)} blobs",
-        ))
-        return report
-
-    for i, ((st, sl), (bt, bl)) in enumerate(zip(scalar, batched)):
-        for fieldname, a, b in (("tensor", st, bt), ("label", sl, bl)):
-            ms = compare_against(
-                {"scalar": np.asarray(a), "batched": np.asarray(b)},
-                against="scalar",
-            )
-            report.mismatches.extend(
-                Mismatch(m.impl, m.against, f"sample {i} {fieldname}: {m.detail}")
-                for m in ms
-            )
-
-    if dev_scalar is not None:
-        moved = (
-            sum(k.bytes_moved for k in dev_scalar.launches),
-            sum(k.bytes_moved for k in dev_batch.launches),
-        )
-        flops = (
-            sum(k.flops for k in dev_scalar.launches),
-            sum(k.flops for k in dev_batch.launches),
-        )
-        if moved[0] != moved[1] or flops[0] != flops[1]:
-            report.mismatches.append(Mismatch(
-                "batched", "scalar",
-                f"device physics differ: bytes {moved[1]} != {moved[0]} "
-                f"or flops {flops[1]} != {flops[0]} (batching must "
-                f"amortize launches, not change modeled work)",
-            ))
-        saved = len(dev_scalar.launches) - len(dev_batch.launches)
-        max_gap = saved * device.spec.launch_overhead_s
-        gap = dev_scalar.busy_seconds - dev_batch.busy_seconds
-        tol = 1e-12 + 1e-9 * dev_scalar.busy_seconds
-        if saved < 0 or gap < -tol or gap > max_gap + tol:
-            report.mismatches.append(Mismatch(
-                "batched", "scalar",
-                f"busy gap {gap!r}s over {saved} elided launches; batching "
-                f"may save at most launch_overhead_s per elided launch "
-                f"({max_gap!r}s) and may never add busy time",
-            ))
     return report
 
 

@@ -18,11 +18,12 @@ lines in parallel, segment tasks within a line in sequence — and the test
 suite asserts bit-identical FP16 output against the reference decoder.
 
 Because every line is decoded independently, the same pass extends across
-*samples*: :func:`decode_images_fast` concatenates the payloads of several
+*images*: :func:`decode_images_fast` concatenates the payloads of several
 same-shape images and runs the identical mode-grouped walk over all
-``N × H`` lines at once — the batch plane's multi-sample decode.  Single-
-image and batched decode share :func:`_decode_lines` verbatim, which is
-what makes bit-identity between them structural rather than incidental.
+``N × H`` lines at once.  Single-image and batched decode share
+:func:`_decode_lines` verbatim, which is what makes bit-identity between
+them structural rather than incidental; the frozen ``batch-delta``
+golden vectors pin the batched form.
 """
 
 from __future__ import annotations
@@ -147,8 +148,10 @@ def decode_images_fast(
     payloads are concatenated once and all ``N × H`` lines run through
     the single-image column walk together, so the per-call NumPy
     dispatch overhead is paid once per *batch* instead of once per
-    image.  Mixed shapes or configs raise ``ValueError`` — callers
-    (``decode_batch`` in the plugins) fall back to the scalar loop.
+    image.  Mixed shapes or configs raise ``ValueError``.  The DeepCAM
+    plugin decodes all channels of one sample with one call; the frozen
+    ``batch-delta`` golden vectors pin this function against the
+    single-image decode.
 
     With ``outs=None`` the returned arrays are views into one contiguous
     ``(N·H, W)`` float16 block (no per-image copies); passing ``outs``

@@ -237,12 +237,12 @@ def decode_samples(
 
     All tables of all samples are stacked into one value array, each
     sample's keys are shifted by its tables' group offsets, and a single
-    fancy index replaces ``N × n_tables`` separate gathers — the batch
-    plane's multi-sample decode for the LUT codec.  Values picked out of
-    the stacked array are byte-for-byte the values the per-table gather
-    would pick (stacking never converts: mismatched table dtypes raise
-    ``ValueError``, as do mixed sample shapes — callers fall back to the
-    scalar loop).
+    fancy index replaces ``N × n_tables`` separate gathers.  Values
+    picked out of the stacked array are byte-for-byte the values the
+    per-table gather would pick (stacking never converts: mismatched
+    table dtypes raise ``ValueError``, as do mixed sample shapes).  The
+    frozen ``batch-lut`` golden vectors pin this function against
+    :func:`decode_sample`.
     """
     if not encs:
         return []

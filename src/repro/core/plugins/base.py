@@ -85,23 +85,6 @@ class SamplePlugin(abc.ABC):
             return self.decode_gpu(blob, device)
         return self.decode_cpu(blob)
 
-    def decode_batch(
-        self, blobs, device: SimulatedGpu | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Decode several samples; returns one ``(tensor, label)`` each.
-
-        The default is the scalar loop — every plugin is batch-decodable.
-        Representations that can amortize real work across samples
-        override it (the LUT plugin stacks all tables into one gather,
-        the delta plugin decodes every sample's lines in one NumPy pass)
-        under a hard contract: the output must be **bit-identical** to
-        ``[self.decode(b, device) for b in blobs]``, mixed-shape batches
-        included — overrides fall back to this loop when they cannot
-        vectorize.  ``repro.conformance.check_batch_equivalence`` asserts
-        the contract.
-        """
-        return [self.decode(blob, device) for blob in blobs]
-
     # ------------------------------------------------------------------
     # preprocessing-graph hooks (repro.graph)
     # ------------------------------------------------------------------

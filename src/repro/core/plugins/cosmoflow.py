@@ -23,9 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accel.device import SimulatedGpu, V100
-from repro.accel.kernels import k_lut_decode, k_lut_decode_batch
+from repro.accel.kernels import k_lut_decode
 from repro.core.encoding import container
-from repro.core.encoding.lut import (
+# decode_samples stays importable here: perfbench's traced run patches it
+from repro.core.encoding.lut import (  # noqa: F401
     LutCodecConfig,
     decode_sample,
     decode_samples,
@@ -137,39 +138,6 @@ class CosmoflowLutPlugin(SamplePlugin):
         enc, label = self._unpack(blob)
         func = log_transform if self.apply_log else None
         return k_lut_decode(device, enc, table_func=func, out_dtype=np.float16), label
-
-    def decode_batch(self, blobs, device=None):
-        """Vectorized multi-sample decode: one stacked table gather.
-
-        Fused preprocessing still runs per *table* (cheap); the expansion
-        gathers every sample's voxels out of one concatenated table array
-        (:func:`decode_samples`).  Mixed-shape batches fall back to the
-        scalar loop; both paths are bit-identical to per-sample
-        :meth:`decode`.
-        """
-        if not blobs:
-            return []
-        unpacked = [self._unpack(blob) for blob in blobs]
-        encs = [enc for enc, _ in unpacked]
-        func = log_transform if self.apply_log else None
-        try:
-            if self.placement == "gpu" and device is not None:
-                outs = k_lut_decode_batch(
-                    device, encs, table_func=func, out_dtype=np.float16
-                )
-            else:
-                works = encs
-                if func is not None:
-                    from repro.core.encoding.lut import apply_to_tables
-
-                    works = [
-                        apply_to_tables(enc, func, out_dtype=np.float16)
-                        for enc in encs
-                    ]
-                outs = decode_samples(works, dtype=np.float16)
-        except ValueError:
-            return [self.decode(blob, device) for blob in blobs]
-        return [(out, label) for out, (_, label) in zip(outs, unpacked)]
 
     #: nominal table-entries-to-voxels ratio used as the fused-step cost
     #: hint: the paper's samples have a few hundred unique groups per

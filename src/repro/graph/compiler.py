@@ -192,19 +192,12 @@ class PlanCostTerms:
     passes over the decoded tensor (fused steps charge their own hint
     scaled by the decode's ``fused_cost_hint`` — the table fraction for
     LUT decode, 1.0 for a post-transform fusion).
-
-    ``batch_overhead`` is the decode node's declared fixed per-launch
-    cost fraction: a batched decode of ``B`` samples pays it once, so
-    :meth:`CompiledPlan.sample_cost` scales decode work by
-    ``1 - f + f/B`` (the batch-amortization curve; ``f = 0`` leaves
-    batching cost-neutral, matching the scalar executor).
     """
 
     read_inflation: float = 1.0
     decode_inflation: float = 1.0
     extra_passes: float = 0.0
     hoisted: int = 0
-    batch_overhead: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +205,6 @@ class PlanCostTerms:
             "decode_inflation": self.decode_inflation,
             "extra_passes": self.extra_passes,
             "hoisted": self.hoisted,
-            "batch_overhead": self.batch_overhead,
         }
 
 
@@ -256,9 +248,7 @@ class CompiledPlan:
     # cost-model view
     # ------------------------------------------------------------------
 
-    def sample_cost(
-        self, base: SampleCost, sample_elems: int, batch_size: int = 1
-    ) -> SampleCost:
+    def sample_cost(self, base: SampleCost, sample_elems: int) -> SampleCost:
         """Rewrite a measured per-sample cost into this plan's shape.
 
         ``base`` is the representation's cost in its fully-fused form
@@ -266,30 +256,18 @@ class CompiledPlan:
         work it did *not* optimize away, which is exactly what lets
         :func:`~repro.tune.costmodel.predict_throughput` rank candidate
         plans of the same graph.
-
-        ``batch_size`` applies the decode node's declared
-        batch-amortization: with fixed-fraction ``f = batch_overhead``,
-        a vectorized decode of ``B`` samples costs each sample
-        ``1 - f + f/B`` of its scalar decode (``B = 1`` reproduces the
-        scalar cost exactly).
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         t = self.terms
-        f = t.batch_overhead
-        amortize = 1.0 - f + f / batch_size
         extra_elems = t.extra_passes * sample_elems
         return SampleCost(
             stored_bytes=int(round(base.stored_bytes * t.read_inflation)),
             h2d_bytes=base.h2d_bytes,
             decoded_bytes=base.decoded_bytes,
             cpu_preprocess_elems=int(
-                round(base.cpu_preprocess_elems * t.decode_inflation * amortize
+                round(base.cpu_preprocess_elems * t.decode_inflation
                       + extra_elems)
             ),
-            gpu_decode_seconds=(
-                base.gpu_decode_seconds * t.decode_inflation * amortize
-            ),
+            gpu_decode_seconds=base.gpu_decode_seconds * t.decode_inflation,
         )
 
     def describe(self) -> str:
@@ -334,13 +312,11 @@ def _plan_terms(
     read_inflation = decode_inflation = 1.0
     extra = 0.0
     hoisted = 0
-    batch_overhead = 0.0
     for i, node in enumerate(chain):
         if node.kind == "read":
             read_inflation = inflation(i)
         elif node.kind == "decode":
             decode_inflation = inflation(i)
-            batch_overhead = node.attrs.batch_overhead
             extra += (
                 sum(s.cost_hint for s in node.fused_steps)
                 * node.attrs.fused_cost_hint
@@ -360,7 +336,6 @@ def _plan_terms(
         decode_inflation=decode_inflation,
         extra_passes=extra,
         hoisted=hoisted,
-        batch_overhead=batch_overhead,
     )
 
 

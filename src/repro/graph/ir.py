@@ -76,14 +76,6 @@ class OpAttrs:
         hundreds of table entries, not millions of voxels); for a
         post-transform fusion it stays 1.0 (fusing then saves only op
         dispatch, which the model deliberately ignores).
-    batch_overhead:
-        For decode nodes: the fraction of per-sample decode cost that is
-        *fixed per launch* (kernel dispatch, table setup, line-descriptor
-        bookkeeping) rather than proportional to the data.  A batched
-        decode of ``B`` samples pays that fraction once, so the plan
-        cost model scales decode work by ``1 - f + f/B`` — the
-        amortization curve ``tune(batch_sizes=...)`` searches over.
-        ``0.0`` (default) means batching saves nothing for this decode.
     """
 
     elementwise: bool = False
@@ -93,15 +85,12 @@ class OpAttrs:
     cost_hint: float = 0.0
     fusable: bool = False
     fused_cost_hint: float = 1.0
-    batch_overhead: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.selectivity <= 1:
             raise ValueError("selectivity must be in (0, 1]")
         if self.cost_hint < 0 or self.fused_cost_hint < 0:
             raise ValueError("cost hints must be >= 0")
-        if not 0 <= self.batch_overhead <= 1:
-            raise ValueError("batch_overhead is a cost fraction in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,7 +153,6 @@ class GraphNode:
                 "cost_hint": self.attrs.cost_hint,
                 "fusable": self.attrs.fusable,
                 "fused_cost_hint": self.attrs.fused_cost_hint,
-                "batch_overhead": self.attrs.batch_overhead,
             },
         }
         if self.out_dtype is not None:
@@ -230,16 +218,13 @@ class PipelineGraph:
         fusable: bool = True,
         fused_cost_hint: float = 1.0,
         cost_hint: float = 1.0,
-        batch_overhead: float = 0.0,
     ) -> GraphNode:
         """Decode the blob to the representation's *native* tensor.
 
         Graph decode means :meth:`~repro.core.plugins.base.SamplePlugin.
         decode_raw` — the plugin's built-in preprocessing (if any) is
         declared as separate elementwise nodes so the optimizer can see,
-        fuse, and cost it.  ``batch_overhead`` declares the fixed
-        per-launch fraction of decode cost a batched decode amortizes
-        (see :class:`OpAttrs`).
+        fuse, and cost it.
         """
         if any(n.kind == "decode" for n in self.nodes):
             raise ValueError("graph already has a decode node")
@@ -249,8 +234,7 @@ class PipelineGraph:
             name=name, kind="decode",
             attrs=OpAttrs(pure=True, fusable=fusable,
                           fused_cost_hint=fused_cost_hint,
-                          cost_hint=cost_hint,
-                          batch_overhead=batch_overhead),
+                          cost_hint=cost_hint),
             reads=frozenset({"blob"}),
             writes=frozenset({"tensor", "label", "blob"}),
             plugin=plugin,

@@ -40,8 +40,8 @@ class FailedItem:
     """A pipeline failure delivered in-band (``on_error="yield"``).
 
     The live exception is kept for in-process policy decisions, but many
-    exceptions don't survive serialization (pickling across a process
-    pool, JSON fuzz/conformance reports), so the portable description —
+    exceptions don't survive serialization (JSON fuzz/conformance
+    reports), so the portable description —
     ``error_repr`` and the formatted ``traceback`` — is captured eagerly
     at construction time.  :meth:`to_json` is the stable wire form.
     """
@@ -85,6 +85,12 @@ class FailedItem:
 class PrefetchExecutor:
     """Run a pipeline over an index sequence with prefetching workers.
 
+    The unit of work is a *group* of consecutive epoch indices: one
+    index in scalar mode (:meth:`Pipeline.run`), up to
+    ``fetch_batch_size`` in batch mode (:meth:`Pipeline.run_batch`, one
+    batched fetch per group).  Either way items come back one by one,
+    in order, with per-sample failures delivered at their own position.
+
     Parameters
     ----------
     pipeline:
@@ -96,33 +102,23 @@ class PrefetchExecutor:
         (useful for debugging and for the time-attribution runs, where
         overlap would muddy per-stage numbers).
     prefetch_depth:
-        Bound on completed-but-unconsumed items, limiting memory exactly
-        like DALI's queue depth.
+        Bound on completed-but-unconsumed groups, limiting memory exactly
+        like DALI's queue depth (``prefetch_depth * fetch_batch_size``
+        samples).
     stats:
         Optional :class:`~repro.tune.stats.StatsRegistry` receiving
-        ``executor.items`` (count + per-item preparation seconds),
-        ``executor.failed`` and ``executor.wait`` (seconds the consumer
-        was blocked on the next in-order item — the starvation signal
-        the adaptive tuner acts on).  All updates happen on the consumer
-        thread, so the counters are exact with any worker count.
+        ``executor.items`` (count + per-item preparation seconds, a
+        group's cost split evenly across its members),
+        ``executor.failed``, ``executor.groups`` (count + seconds per
+        group) and ``executor.wait`` (seconds the consumer was blocked
+        on the next in-order group — the starvation signal the adaptive
+        tuner acts on).  All updates happen on the consumer thread, so
+        the counters are exact with any worker count.
     fetch_batch_size:
-        Batch mode: with ``B > 1`` the work unit becomes a *group* of up
-        to ``B`` consecutive epoch indices processed by one
-        :meth:`Pipeline.run_batch` call — one batched fetch
-        (``read_batch_slots``: one wire round-trip / one seek pass per
-        group) and one vectorized multi-sample decode.  Items still come
-        back one by one, in order, with per-slot failures delivered
-        exactly like scalar-mode failures; ``prefetch_depth`` counts
-        *groups* in flight.  Results are bit-identical to scalar mode
-        by the batch plane's contract.
-    decode_processes:
-        With batch mode, ``> 0`` offloads each group's decode to a pool
-        of worker *processes* (escaping the GIL for decoders that hold
-        it).  The pool lives for one :meth:`run` call; the plugin and
-        blobs must pickle (ours do), simulated-GPU decodes stay
-        in-process, and any pool failure falls back to in-process
-        decode — batching and pooling can only change speed, never
-        results.
+        Batch mode: with ``B > 1`` each group of up to ``B`` indices is
+        fetched with one ``read_batch_slots`` call (one wire round-trip
+        / one seek pass per group) and then decoded sample by sample.
+        Results are bit-identical to scalar mode.
     """
 
     def __init__(
@@ -132,7 +128,6 @@ class PrefetchExecutor:
         prefetch_depth: int = 4,
         stats: StatsRegistry | None = None,
         fetch_batch_size: int = 1,
-        decode_processes: int = 0,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
@@ -140,14 +135,11 @@ class PrefetchExecutor:
             raise ValueError("prefetch_depth must be >= 1")
         if fetch_batch_size < 1:
             raise ValueError("fetch_batch_size must be >= 1")
-        if decode_processes < 0:
-            raise ValueError("decode_processes must be >= 0")
         self.pipeline = pipeline
         self.num_workers = num_workers
         self.prefetch_depth = prefetch_depth
         self.stats = stats
         self.fetch_batch_size = fetch_batch_size
-        self.decode_processes = decode_processes
 
     def run(
         self, indices: Sequence[int], epoch: int = 0, on_error: str = "raise"
@@ -161,174 +153,68 @@ class PrefetchExecutor:
         """
         if on_error not in ("raise", "yield"):
             raise ValueError(f"on_error must be 'raise' or 'yield', got {on_error!r}")
-        if self.fetch_batch_size > 1:
-            yield from self._run_batched(list(indices), epoch, on_error)
-            return
-        st = self.stats
-        if self.num_workers == 0:
-            # synchronous: the consumer *is* the producer, so the whole
-            # preparation time counts as consumer wait (starvation 1.0 —
-            # which is what tells the adaptive controller to add workers)
-            s_items = st.stat("executor.items") if st is not None else None
-            s_wait = st.stat("executor.wait") if st is not None else None
-            s_failed = st.stat("executor.failed") if st is not None else None
-            for idx in indices:
-                t0 = perf_counter()
-                try:
-                    item = self.pipeline.run(idx, epoch)
-                except Exception as exc:
-                    if s_failed is not None:
-                        s_failed.add()
-                        s_wait.add(perf_counter() - t0)
-                    if on_error == "yield":
-                        yield FailedItem(index=idx, error=exc)
-                        continue
-                    exc.sample_index = idx  # type: ignore[attr-defined]
-                    raise
-                if s_items is not None:
-                    dt = perf_counter() - t0
-                    s_items.add(dt)
-                    s_wait.add(dt)
-                yield item
-            return
-        yield from self._run_threaded(list(indices), epoch, on_error)
-
-    def _run_batched(
-        self, indices: list[int], epoch: int, on_error: str
-    ) -> Iterator[PipelineItem | FailedItem]:
-        """Batch mode: groups of indices through ``Pipeline.run_batch``.
-
-        Same machinery as the scalar paths (order-preserving, per-item
-        failure delivery, consumer-side stats), but the producer-side
-        unit of work is a whole group: one batched fetch + one
-        vectorized decode per group.  The admission window counts
-        groups, so memory is bounded at
-        ``prefetch_depth * fetch_batch_size`` samples.
-        """
         B = self.fetch_batch_size
+        indices = list(indices)
         groups = [indices[i:i + B] for i in range(0, len(indices), B)]
-        pool = None
-        if self.decode_processes > 0:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=self.decode_processes)
         st = self.stats
         s_items = st.stat("executor.items") if st is not None else None
         s_wait = st.stat("executor.wait") if st is not None else None
         s_failed = st.stat("executor.failed") if st is not None else None
         s_groups = st.stat("executor.groups") if st is not None else None
-
-        def consume(group, results, waited):
-            # deliver one group's results item by item, updating the
-            # same counters the scalar paths keep (per *item*, with the
-            # group's cost split evenly across its members)
-            share = waited / len(results) if results else 0.0
-            for idx, result in zip(group, results):
-                if isinstance(result, Exception):
-                    item = FailedItem(index=int(idx), error=result)
-                else:
-                    item = result
-                if isinstance(item, FailedItem):
-                    if s_failed is not None:
-                        s_failed.add()
-                    if on_error == "raise":
-                        exc = item.error
-                        exc.sample_index = item.index  # type: ignore[attr-defined]
-                        raise exc
-                elif s_items is not None:
-                    s_items.add(share)
-                yield item
-
+        if self.num_workers == 0:
+            produced = self._run_sync(groups, epoch)
+        else:
+            produced = self._run_threaded(groups, epoch)
         try:
-            if self.num_workers == 0:
-                for group in groups:
-                    t0 = perf_counter()
-                    results = self.pipeline.run_batch(
-                        group, epoch, decode_pool=pool
-                    )
-                    dt = perf_counter() - t0
-                    if s_groups is not None:
-                        s_groups.add(dt)
-                        s_wait.add(dt)
-                    yield from consume(group, results, dt)
-                return
-
-            work: queue.Queue = queue.Queue()
-            done: dict[int, tuple[list, float]] = {}
-            done_lock = threading.Condition()
-            window = threading.Semaphore(self.prefetch_depth)
-            for pos, group in enumerate(groups):
-                work.put((pos, group))
-            for _ in range(self.num_workers):
-                work.put(_SENTINEL)
-
-            def worker() -> None:
-                while True:
-                    window.acquire()
-                    task = work.get()
-                    if task is _SENTINEL:
-                        window.release()
-                        return
-                    pos, group = task
-                    t0 = perf_counter()
-                    try:
-                        results = self.pipeline.run_batch(
-                            group, epoch, decode_pool=pool
-                        )
-                    except Exception as exc:  # noqa: BLE001 — whole group
-                        results = [exc] * len(group)
-                    busy = perf_counter() - t0
-                    with done_lock:
-                        done[pos] = (results, busy)
-                        done_lock.notify_all()
-
-            threads = [
-                threading.Thread(target=worker, daemon=True)
-                for _ in range(self.num_workers)
-            ]
-            for t in threads:
-                t.start()
-            try:
-                for pos in range(len(groups)):
-                    with done_lock:
-                        if pos not in done:
-                            t0 = perf_counter()
-                            while pos not in done:
-                                done_lock.wait()
-                            if s_wait is not None:
-                                s_wait.add(perf_counter() - t0)
-                        results, busy = done.pop(pos)
-                    window.release()
-                    if s_groups is not None:
-                        s_groups.add(busy)
-                    yield from consume(groups[pos], results, busy)
-            finally:
-                try:
-                    while True:
-                        work.get_nowait()
-                except queue.Empty:
-                    pass
-                for _ in range(self.num_workers):
-                    work.put(_SENTINEL)
-                    window.release()
-                for t in threads:
-                    t.join(timeout=5.0)
+            for group, results, busy, waited in produced:
+                if st is not None:
+                    s_groups.add(busy)
+                    if waited is not None:
+                        s_wait.add(waited)
+                share = busy / len(results)
+                for idx, result in zip(group, results):
+                    if isinstance(result, Exception):
+                        if s_failed is not None:
+                            s_failed.add()
+                        if on_error == "raise":
+                            result.sample_index = idx  # type: ignore[attr-defined]
+                            raise result
+                        result = FailedItem(index=int(idx), error=result)
+                    elif s_items is not None:
+                        s_items.add(share)
+                    yield result
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            produced.close()
 
-    def _run_threaded(
-        self, indices: list[int], epoch: int, on_error: str
-    ) -> Iterator[PipelineItem | FailedItem]:
+    def _run_group(self, group: list[int], epoch: int) -> list:
+        """One group's results: a ``PipelineItem`` or ``Exception`` each."""
+        try:
+            if self.fetch_batch_size == 1:
+                return [self.pipeline.run(group[0], epoch)]
+            return self.pipeline.run_batch(group, epoch)
+        except Exception as exc:  # noqa: BLE001 — delivered per item
+            return [exc] * len(group)
+
+    def _run_sync(self, groups, epoch: int):
+        # the consumer *is* the producer, so the whole preparation time
+        # counts as consumer wait (starvation 1.0 — which is what tells
+        # the adaptive controller to add workers)
+        for group in groups:
+            t0 = perf_counter()
+            results = self._run_group(group, epoch)
+            dt = perf_counter() - t0
+            yield group, results, dt, dt
+
+    def _run_threaded(self, groups, epoch: int):
         work: queue.Queue = queue.Queue()
-        done: dict[int, PipelineItem | FailedItem] = {}
+        done: dict[int, tuple[list, float]] = {}
         done_lock = threading.Condition()
-        # Admission window: workers may run at most prefetch_depth ahead of
-        # the consumer, bounding memory.
+        # Admission window: workers may run at most prefetch_depth groups
+        # ahead of the consumer, bounding memory.
         window = threading.Semaphore(self.prefetch_depth)
 
-        for pos, idx in enumerate(indices):
-            work.put((pos, idx))
+        for pos, group in enumerate(groups):
+            work.put((pos, group))
         for _ in range(self.num_workers):
             work.put(_SENTINEL)
 
@@ -336,24 +222,19 @@ class PrefetchExecutor:
             while True:
                 # Acquire the admission slot BEFORE taking a task: slots
                 # then always belong to the oldest pending tasks, so the
-                # consumer (which frees a slot per consumed item) can never
-                # be stranded waiting on a task no slot remains for.
+                # consumer (which frees a slot per consumed group) can
+                # never be stranded waiting on a task no slot remains for.
                 window.acquire()
                 task = work.get()
                 if task is _SENTINEL:
                     window.release()
                     return
-                pos, idx = task
+                pos, group = task
                 t0 = perf_counter()
-                try:
-                    result: PipelineItem | FailedItem = self.pipeline.run(
-                        idx, epoch
-                    )
-                except Exception as exc:  # propagate to the consumer
-                    result = FailedItem(index=idx, error=exc)
+                results = self._run_group(group, epoch)
                 busy = perf_counter() - t0
                 with done_lock:
-                    done[pos] = (result, busy)
+                    done[pos] = (results, busy)
                     done_lock.notify_all()
 
         threads = [
@@ -362,31 +243,18 @@ class PrefetchExecutor:
         ]
         for t in threads:
             t.start()
-        st = self.stats
-        s_items = st.stat("executor.items") if st is not None else None
-        s_wait = st.stat("executor.wait") if st is not None else None
-        s_failed = st.stat("executor.failed") if st is not None else None
         try:
-            for pos in range(len(indices)):
+            for pos, group in enumerate(groups):
+                waited = None
                 with done_lock:
                     if pos not in done:
                         t0 = perf_counter()
                         while pos not in done:
                             done_lock.wait()
-                        if s_wait is not None:
-                            s_wait.add(perf_counter() - t0)
-                    result, busy = done.pop(pos)
+                        waited = perf_counter() - t0
+                    results, busy = done.pop(pos)
                 window.release()
-                if isinstance(result, FailedItem):
-                    if s_failed is not None:
-                        s_failed.add()
-                    if on_error == "raise":
-                        exc = result.error
-                        exc.sample_index = result.index  # type: ignore[attr-defined]
-                        raise exc
-                elif s_items is not None:
-                    s_items.add(busy)
-                yield result
+                yield group, results, busy, waited
         finally:
             # Early close: drain pending tasks, then unblock every worker —
             # whether parked on the admission semaphore or on the work

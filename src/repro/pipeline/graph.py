@@ -19,15 +19,11 @@ from __future__ import annotations
 import threading
 
 from repro.observe import trace as observe
-from repro.pipeline.ops import Op, PipelineItem
+from repro.pipeline.ops import Op, PipelineItem, ReadOp
+from repro.pipeline.sources import read_batch_slots
 from repro.util.timing import Stopwatch
 
 __all__ = ["Pipeline"]
-
-
-def _pool_decode(plugin, blobs):
-    """Decode a blob batch in a worker process (module-level: picklable)."""
-    return plugin.decode_batch(blobs, None)
 
 
 class Pipeline:
@@ -91,155 +87,71 @@ class Pipeline:
 
     def _run(self, index: int, epoch: int) -> PipelineItem:
         item = PipelineItem(index=index, meta={"epoch": epoch})
-        watch = self._thread_watch()
-        for op in self.ops:
+        return self._apply(self.ops, item, self._thread_watch())
+
+    @staticmethod
+    def _apply(ops, item: PipelineItem, watch: Stopwatch) -> PipelineItem:
+        for op in ops:
             with watch.measure(op.name), observe.span(op.name):
                 item = op(item)
             if item.meta.get("dropped"):
                 break
         return item
 
-    def run_batch(
-        self, indices, epoch: int = 0, decode_pool=None
-    ) -> list:
-        """Process a group of samples, vectorizing read and decode.
+    def run_batch(self, indices, epoch: int = 0) -> list:
+        """Process a group of samples behind one batched fetch.
 
         Returns one entry per index, aligned with ``indices``: the
         processed :class:`PipelineItem`, or the ``Exception`` that sample
         raised (slot-isolated — one bad sample never sinks its
         batch-mates; the executor wraps exceptions into ``FailedItem``).
 
-        Chains of the standard ``ReadOp → DecodeOp → extras`` shape take
-        the batch plane: one :func:`~repro.pipeline.sources.read_batch_slots`
-        fetch (amortizing locks/seeks/wire round-trips) and one
-        :meth:`~repro.core.plugins.base.SamplePlugin.decode_batch` call
-        (vectorized multi-sample decode, bit-identical to the scalar
-        loop by contract).  Any other chain — compiled graph plans
-        included — falls back to per-item :meth:`run`, so batching never
-        changes results, only amortization.
-
-        ``decode_pool`` (a ``concurrent.futures`` executor) offloads the
-        batched decode to a worker process to escape the GIL; it is only
-        used for CPU-placed decodes (a simulated device's accounting
-        lives in this process) and falls back in-process on any pool
-        failure.
+        A chain that starts with a :class:`ReadOp` — the legacy chain
+        and compiled graph plans alike — fetches the whole group with
+        one :func:`~repro.pipeline.sources.read_batch_slots` call
+        (amortizing locks, seeks and wire round-trips); every fetched
+        sample then runs the remaining stages on its own, exactly as in
+        :meth:`run`.  Any other chain runs :meth:`run` per index.
+        Batching changes how reads are paid for, never a result.
         """
-        from repro.pipeline.ops import DecodeOp, ReadOp
-
-        ops = self.ops
-        results: list = [None] * len(indices)
-        batchable = (
-            len(ops) >= 2
-            and type(ops[0]) is ReadOp
-            and type(ops[1]) is DecodeOp
-        )
-        if not batchable:
-            for j, idx in enumerate(indices):
+        if type(self.ops[0]) is not ReadOp:
+            results: list = []
+            for idx in indices:
                 try:
-                    results[j] = self.run(int(idx), epoch)
+                    results.append(self.run(int(idx), epoch))
                 except Exception as exc:  # noqa: BLE001 — slot-isolated
-                    results[j] = exc
+                    results.append(exc)
             return results
-
-        # one trace for the whole group: the batch plane amortizes the
-        # fetch, so per-sample attribution inside it does not exist
+        # one trace for the whole group: the fetch is shared, so
+        # per-sample attribution of the read does not exist
         with observe.traced(
             self.trace, "loader.fetch", epoch=epoch, batch=len(indices)
         ):
-            return self._run_batch_fast(indices, epoch, decode_pool, results)
+            return self._run_batch(indices, epoch)
 
-    def _run_batch_fast(self, indices, epoch, decode_pool, results) -> list:
-        from repro.pipeline.sources import read_batch_slots
-
-        ops = self.ops
-        read_op, decode_op = ops[0], ops[1]
+    def _run_batch(self, indices, epoch: int) -> list:
+        read_op = self.ops[0]
         watch = self._thread_watch()
-        items = [
-            PipelineItem(index=int(idx), meta={"epoch": epoch})
-            for idx in indices
-        ]
-
-        # --- read: one batched fetch, per-slot failures stay in their slot
         with watch.measure(read_op.name), observe.span(read_op.name):
-            slots = read_batch_slots(
-                read_op.source, [item.index for item in items]
-            )
-            live: list[int] = []
-            for j, (item, slot) in enumerate(zip(items, slots)):
+            slots = read_batch_slots(read_op.source, [int(i) for i in indices])
+            for j, slot in enumerate(slots):
                 if isinstance(slot, Exception):
-                    results[j] = slot
                     continue
-                if read_op.verify:
-                    from repro.core.encoding.container import verify_sample
-
-                    try:
-                        verify_sample(slot, sample_id=item.index)
-                    except Exception as exc:  # noqa: BLE001 — slot-isolated
-                        results[j] = exc
-                        continue
-                item.blob = slot
-                item.meta["stored_bytes"] = len(slot)
-                live.append(j)
-        if len(items) > 1:
-            # stage counts mean "items through the stage", batched or not
-            watch.counts[read_op.name] += len(items) - 1
-
-        # --- decode: one vectorized multi-sample call
-        if live:
-            blobs = [items[j].blob for j in live]
-            with watch.measure(decode_op.name), observe.span(decode_op.name):
-                pairs = None
+                item = PipelineItem(index=int(indices[j]), meta={"epoch": epoch})
                 try:
-                    if decode_pool is not None and decode_op.device is None:
-                        pairs = decode_pool.submit(
-                            _pool_decode, decode_op.plugin,
-                            [bytes(b) for b in blobs],
-                        ).result()
-                    else:
-                        pairs = decode_op.plugin.decode_batch(
-                            blobs, decode_op.device
-                        )
-                except Exception:  # noqa: BLE001 — isolate via scalar loop
-                    pairs = None
-                decoded: list[int] = []
-                if pairs is not None:
-                    for j, (tensor, label) in zip(live, pairs):
-                        items[j].tensor = tensor
-                        items[j].label = label
-                        items[j].blob = None
-                        decoded.append(j)
-                else:
-                    # batch decode failed somewhere: the scalar loop pins
-                    # the failure to exactly the sample that raised
-                    for j in live:
-                        try:
-                            tensor, label = decode_op.plugin.decode(
-                                items[j].blob, decode_op.device
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            results[j] = exc
-                            continue
-                        items[j].tensor = tensor
-                        items[j].label = label
-                        items[j].blob = None
-                        decoded.append(j)
-            if pairs is not None and len(blobs) > 1:
-                watch.counts[decode_op.name] += len(blobs) - 1
-            live = decoded
-
-        # --- remaining stages: per item (augment/label/cast are scalar)
-        for j in live:
-            item = items[j]
-            try:
-                for op in ops[2:]:
-                    with watch.measure(op.name):
-                        item = op(item)
-                    if item.meta.get("dropped"):
-                        break
-            except Exception as exc:  # noqa: BLE001 — slot-isolated
-                results[j] = exc
-                continue
-            results[j] = item
+                    slots[j] = read_op.attach(item, slot)
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    slots[j] = exc
+        # stage counts mean "items through the stage", batched or not
+        watch.counts[read_op.name] += len(slots) - 1
+        results: list = []
+        for slot in slots:
+            if isinstance(slot, PipelineItem):
+                try:
+                    slot = self._apply(self.ops[1:], slot, watch)
+                except Exception as exc:  # noqa: BLE001 — slot-isolated
+                    slot = exc
+            results.append(slot)
         return results
 
     def stage_times(self) -> dict[str, float]:

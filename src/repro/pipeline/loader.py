@@ -102,19 +102,13 @@ class DataLoader:
         comparisons).
     batched_fetch:
         Drive the executor in batch mode: ``batch_size`` becomes the
-        fetch/decode granularity, so each training batch costs one
-        batched read (one wire round-trip against a remote source) and
-        one vectorized multi-sample decode instead of ``batch_size``
-        scalar round-trips.  Bit-identical to the scalar path by the
-        batch plane's contract (``check_batch_equivalence``); failure
+        fetch granularity, so each training batch costs one batched
+        read (one wire round-trip against a remote source) instead of
+        ``batch_size`` scalar round-trips; every sample is still
+        decoded on its own.  Bit-identical to the scalar path; failure
         semantics (``bad_sample_policy``, quarantine, degraded
         accounting) are unchanged because batch failures are delivered
         per slot.  See docs/batching.md.
-    decode_processes:
-        With ``batched_fetch``: offload each group's decode to this
-        many worker processes (escapes the GIL for CPU-heavy decodes;
-        ignored for simulated-GPU placements, which keep their
-        accounting in-process).
     trace:
         Optional :class:`repro.observe.TraceRecorder`: record every
         sample's fetch as a ``loader.fetch`` span tree (sampled per the
@@ -142,7 +136,6 @@ class DataLoader:
         graph=None,
         optimize_graph: bool = True,
         batched_fetch: bool = False,
-        decode_processes: int = 0,
         trace=None,
     ) -> None:
         if batch_size < 1:
@@ -194,7 +187,6 @@ class DataLoader:
             prefetch_depth=prefetch_depth,
             stats=self.stats,
             fetch_batch_size=batch_size if self.batched_fetch else 1,
-            decode_processes=decode_processes if self.batched_fetch else 0,
         )
 
     def reconfigure(
@@ -236,7 +228,6 @@ class DataLoader:
             ),
             stats=self.stats,
             fetch_batch_size=self.batch_size if self.batched_fetch else 1,
-            decode_processes=self.executor.decode_processes,
         )
 
     def __len__(self) -> int:

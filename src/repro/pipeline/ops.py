@@ -68,10 +68,14 @@ class ReadOp(Op):
         self.verify = verify
 
     def __call__(self, item: PipelineItem) -> PipelineItem:
-        item.blob = self.source.read(item.index)
+        return self.attach(item, self.source.read(item.index))
+
+    def attach(self, item: PipelineItem, blob: bytes) -> PipelineItem:
+        """Hand a fetched blob to ``item`` (the batched fetch's entry)."""
         if self.verify:
-            verify_sample(item.blob, sample_id=item.index)
-        item.meta["stored_bytes"] = len(item.blob)
+            verify_sample(blob, sample_id=item.index)
+        item.blob = blob
+        item.meta["stored_bytes"] = len(blob)
         return item
 
 

@@ -222,9 +222,7 @@ def predict_throughput(
     if fetch_overhead_s < 0:
         raise ValueError("fetch_overhead_s must be >= 0")
     if plan is not None:
-        cost = plan.sample_cost(
-            cost, workload.sample_elems, batch_size=config.batch_size
-        )
+        cost = plan.sample_cost(cost, workload.sample_elems)
     m = machine
     P = m.gpus_per_node
     B = config.batch_size

@@ -1,6 +1,6 @@
 """The batch plane, end to end: scatter-gather framing, batched sources,
-vectorized multi-sample decode, executor batch mode, and the conformance
-checks that hold every batched path bit-identical to the scalar one.
+executor batch mode, and the checks that hold every batched path
+bit-identical to the scalar one.
 
 Layered to match docs/batching.md:
 
@@ -11,16 +11,13 @@ Layered to match docs/batching.md:
 * sources — ``read_batch``/``read_batch_slots`` equal a sequential read
   loop for every source, under arbitrary batch sizes, orderings and
   duplicated indices (Hypothesis property tests);
-* decode — ``check_batch_equivalence`` proves ``decode_batch`` ≡ a
-  scalar decode loop for both workload plugins, including the
-  mixed-shape fallback and simulated-GPU accounting;
 * executor/loader — ``batched_fetch=True`` yields bit-identical epochs
-  across worker counts and the process-pool decode backend, with
-  unchanged quarantine semantics;
-* tune/graph — the cost model's batch-size axis and the compiled plan's
-  ``batch_overhead`` amortization reproduce the scalar numbers at B=1.
+  for both codecs, legacy chains and compiled plans, across worker
+  counts, decodes every sample exactly once, and keeps quarantine and
+  raise semantics unchanged;
+* tune — the cost model's batch-size axis amortizes the fixed fetch
+  overhead and reproduces the scalar numbers at B=1.
 """
-
 import socket
 
 import numpy as np
@@ -29,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.device import V100, SimulatedGpu
-from repro.conformance import check_batch_equivalence
 from repro.core.plugins import CosmoflowLutPlugin, DeepcamDeltaPlugin
 from repro.datasets import cosmoflow, deepcam
 from repro.pipeline import CachedSource, DataLoader, ListSource, TfRecordSource
@@ -366,65 +362,6 @@ class TestBatchReadProperties:
 
 
 # --------------------------------------------------------------------------
-# vectorized decode conformance
-# --------------------------------------------------------------------------
-
-
-class TestBatchDecodeEquivalence:
-    def test_deepcam_batched_decode_bit_identical(self, deepcam_fix):
-        plugin, blobs = deepcam_fix
-        report = check_batch_equivalence(plugin, blobs)
-        report.raise_if_failed()
-        assert report.codec == "batch"
-
-    def test_cosmoflow_batched_decode_bit_identical(self, cosmo_fix):
-        plugin, blobs = cosmo_fix
-        check_batch_equivalence(plugin, blobs).raise_if_failed()
-
-    def test_mixed_shape_batch_falls_back_bit_identically(self):
-        """Samples of different geometry can't stack into one vectorized
-        pass; the fallback loop must still be bit-identical."""
-        plugin = DeepcamDeltaPlugin("cpu")
-        blobs = []
-        for h, w, seed in ((8, 12, 1), (16, 8, 2), (8, 12, 3)):
-            cfg = deepcam.DeepcamConfig(height=h, width=w, n_channels=3)
-            s = deepcam.generate_dataset(1, cfg, seed=seed)[0]
-            blobs.append(plugin.encode(s.data, s.label))
-        check_batch_equivalence(plugin, blobs).raise_if_failed()
-
-    def test_gpu_placement_batch_keeps_device_accounting(self, ):
-        cfg = cosmoflow.CosmoflowConfig(grid=8, n_particles=2000)
-        plugin = CosmoflowLutPlugin("gpu")
-        ds = cosmoflow.generate_dataset(4, cfg, seed=11)
-        blobs = [plugin.encode(s.data, s.label) for s in ds]
-        report = check_batch_equivalence(
-            plugin, blobs, device=SimulatedGpu(spec=V100)
-        )
-        report.raise_if_failed()
-
-    def test_a_lying_decode_batch_is_caught(self, deepcam_fix):
-        plugin, blobs = deepcam_fix
-
-        class Lying(DeepcamDeltaPlugin):
-            def decode_batch(self, batch, device=None):
-                pairs = [
-                    (t.copy(), label)
-                    for t, label in super().decode_batch(batch, device)
-                ]
-                t, _ = pairs[1]
-                t.flat[0] += 1  # one element, one sample
-                return pairs
-
-        report = check_batch_equivalence(Lying("cpu"), blobs)
-        assert not report.ok
-        assert len(report.mismatches) == 1
-
-    def test_empty_batch(self, deepcam_fix):
-        plugin, _ = deepcam_fix
-        assert plugin.decode_batch([]) == []
-
-
-# --------------------------------------------------------------------------
 # executor / loader batch mode
 # --------------------------------------------------------------------------
 
@@ -436,25 +373,31 @@ def _epoch_bytes(loader, epoch=0):
 
 
 class TestLoaderBatchMode:
+    @pytest.mark.parametrize("workers", [0, 3])
     @pytest.mark.parametrize(
-        "workers,procs", [(0, 0), (3, 0), (0, 2), (3, 2)]
+        "fix,graph",
+        [("deepcam_fix", None), ("cosmo_fix", None), ("cosmo_fix", True)],
+        ids=["deepcam", "cosmoflow", "cosmoflow-plan"],
     )
     def test_batched_fetch_is_bit_identical(
-        self, deepcam_fix, workers, procs
+        self, request, fix, graph, workers
     ):
-        plugin, blobs = deepcam_fix
-        reference = _epoch_bytes(
-            DataLoader(ListSource(blobs), plugin, batch_size=4, seed=3)
-        )
-        batched = DataLoader(
-            ListSource(blobs), plugin, batch_size=4, seed=3,
-            num_workers=workers, batched_fetch=True,
-            decode_processes=procs,
-        )
+        plugin, blobs = request.getfixturevalue(fix)
+
+        def loader(**kw):
+            return DataLoader(
+                ListSource(blobs), plugin, batch_size=4, seed=3,
+                graph=graph, **kw,
+            )
+
+        reference = _epoch_bytes(loader())
+        batched = loader(num_workers=workers, batched_fetch=True)
         assert _epoch_bytes(batched) == reference
         snap = dict(batched.stats.snapshot())
         assert snap["executor.items"][0] == len(blobs)
-        assert snap["executor.groups"][0] == 3  # ceil(10 / 4)
+        assert snap["executor.groups"][0] == -(-len(blobs) // 4)
+        if graph:
+            assert batched.plan is not None
 
     def test_batched_fetch_gpu_placement_identical(self):
         cfg = cosmoflow.CosmoflowConfig(grid=8, n_particles=2500)
@@ -498,6 +441,65 @@ class TestLoaderBatchMode:
         with pytest.raises(Exception) as exc_info:
             list(dl.batches(0))
         assert getattr(exc_info.value, "sample_index", None) == 2
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    def test_decode_runs_once_per_sample(
+        self, deepcam_fix, monkeypatch, batched
+    ):
+        """Each sample is unpacked and decoded exactly once per epoch, a
+        corrupt batch-mate included, and a programming error inside
+        decode raises at its own sample's position."""
+        from collections import Counter
+
+        from repro.core.encoding import container
+
+        _, blobs = deepcam_fix
+        plugin = DeepcamDeltaPlugin("cpu")  # private: decode gets patched
+        bad = list(blobs)
+        bad[6] = b"garbage"  # third member of the group [4, 5, 6, 7]
+        unpacked: Counter = Counter()
+        decoded: Counter = Counter()
+        unpack = container.unpack_sample
+        decode = plugin.decode
+
+        def counting_unpack(blob, *a, **kw):
+            unpacked[bytes(blob)] += 1
+            return unpack(blob, *a, **kw)
+
+        def counting_decode(blob, device=None):
+            decoded[bytes(blob)] += 1
+            return decode(blob, device)
+
+        monkeypatch.setattr(container, "unpack_sample", counting_unpack)
+        monkeypatch.setattr(plugin, "decode", counting_decode)
+        dl = DataLoader(
+            ListSource(bad), plugin, batch_size=4, shuffle=False,
+            bad_sample_policy="skip", batched_fetch=batched,
+        )
+        for epoch in (1, 2):
+            delivered = sum(len(b) for b, _ in dl.batches(epoch))
+            assert delivered == len(bad) - 1
+            once = {blob: epoch for blob in bad}
+            assert unpacked == once
+            assert decoded == once
+        assert dl.quarantine.ids() == [6]
+
+        def broken_decode(blob, device=None):
+            if blob == blobs[5]:
+                raise TypeError("decode bug")
+            return decode(blob, device)
+
+        monkeypatch.setattr(plugin, "decode", broken_decode)
+        dl = DataLoader(
+            ListSource(blobs), plugin, batch_size=4, shuffle=False,
+            batched_fetch=batched,
+        )
+        seen = []
+        with pytest.raises(TypeError) as exc_info:
+            for batch, _ in dl.batches(0):
+                seen.append(len(batch))
+        assert exc_info.value.sample_index == 5
+        assert seen == [4]  # samples 0-3 delivered, then the raise
 
     def test_reconfigure_retunes_fetch_granularity(self, deepcam_fix):
         plugin, blobs = deepcam_fix
@@ -593,67 +595,3 @@ class TestTuneBatchAxis:
         res = tune(machine, space, seed=0, validate=False, batch_size=6)
         assert res.best.config.batch_size == 6
 
-
-# --------------------------------------------------------------------------
-# graph cost: batch_overhead amortization
-# --------------------------------------------------------------------------
-
-
-class TestGraphBatchCost:
-    def _plan(self, deepcam_fix, overhead):
-        from repro.graph.compiler import compile_graph
-        from repro.graph.ir import PipelineGraph
-
-        plugin, blobs = deepcam_fix
-        g = PipelineGraph("batchy")
-        g.read(ListSource(blobs))
-        g.decode(plugin, batch_overhead=overhead)
-        return compile_graph(g, optimize=False)
-
-    def _base(self):
-        from repro.core.plugins.base import SampleCost
-
-        return SampleCost(
-            stored_bytes=1000, h2d_bytes=500,
-            decoded_bytes=500, cpu_preprocess_elems=100,
-        )
-
-    def test_batch_size_one_reproduces_the_scalar_cost(self, deepcam_fix):
-        plan = self._plan(deepcam_fix, 0.5)
-        base = self._base()
-        assert (
-            plan.sample_cost(base, sample_elems=1000, batch_size=1)
-            == plan.sample_cost(base, sample_elems=1000)
-        )
-
-    def test_overhead_amortizes_monotonically(self, deepcam_fix):
-        plan = self._plan(deepcam_fix, 0.5)
-        base = self._base()
-        costs = [
-            plan.sample_cost(base, sample_elems=1000, batch_size=b)
-            for b in (1, 2, 8, 64)
-        ]
-        elems = [c.cpu_preprocess_elems for c in costs]
-        assert elems == sorted(elems, reverse=True)
-        # half the decode work is per-batch: at B→∞ it halves (the plan
-        # integerizes element counts, so allow one element of rounding)
-        assert abs(elems[-1] - elems[0] * (0.5 + 0.5 / 64)) <= 1
-
-    def test_zero_overhead_is_batch_size_invariant(self, deepcam_fix):
-        plan = self._plan(deepcam_fix, 0.0)
-        base = self._base()
-        assert (
-            plan.sample_cost(base, sample_elems=1000, batch_size=64)
-            == plan.sample_cost(base, sample_elems=1000, batch_size=1)
-        )
-
-    def test_invalid_knobs_rejected(self, deepcam_fix):
-        from repro.graph.ir import OpAttrs
-
-        with pytest.raises(ValueError):
-            OpAttrs(batch_overhead=1.5)
-        with pytest.raises(ValueError):
-            OpAttrs(batch_overhead=-0.1)
-        plan = self._plan(deepcam_fix, 0.5)
-        with pytest.raises(ValueError):
-            plan.sample_cost(self._base(), sample_elems=10, batch_size=0)

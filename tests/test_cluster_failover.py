@@ -191,6 +191,40 @@ class TestOverload:
             dispatcher.close(drain=False, timeout_s=2.0)
 
 
+class TestBatchFallback:
+    """``read_batch_slots`` falls back to scalar reads only for the
+    "unsupported op" reply of an older peer; anything else raises."""
+
+    def test_old_peer_falls_back_and_is_counted(self, blobs, cluster):
+        dispatcher, workers = cluster
+        for w in workers:
+            serve = w.server._dispatch
+
+            def old_peer(kind, body, peer, serve=serve):
+                if kind == protocol.OP_READ_BATCH:
+                    raise ValueError(f"unsupported op {kind:#x}")
+                return serve(kind, body, peer)
+
+            w.server._dispatch = old_peer
+        with ClusterSource(dispatcher.address, timeout_s=2.0) as src:
+            assert src.read_batch_slots(range(N)) == blobs
+            assert _counter(src, "cluster.batch_fallbacks") >= 1
+            assert _counter(src, "cluster.failovers") == 0
+
+    def test_programming_error_propagates(self, blobs, cluster, monkeypatch):
+        from repro.serve import RemoteSource
+
+        def broken(self, indices):
+            raise TypeError("batch bug")
+
+        monkeypatch.setattr(RemoteSource, "read_batch_slots", broken)
+        dispatcher, _ = cluster
+        with ClusterSource(dispatcher.address, timeout_s=2.0) as src:
+            with pytest.raises(TypeError, match="batch bug"):
+                src.read_batch_slots(range(N))
+            assert _counter(src, "cluster.batch_fallbacks") == 0
+
+
 class TestWorkerReRegistration:
     def test_force_expired_worker_comes_back_with_same_id(self, cluster):
         import time
